@@ -25,6 +25,7 @@ from repro.serve.engine import (
 from repro.serve.fleet import (
     FleetReport,
     FleetSnapshot,
+    PendingBatch,
     ServiceModel,
     ServingFleet,
     fleet_from_registry,
@@ -93,6 +94,7 @@ __all__ = [
     "ModelPublication",
     "ModelRegistry",
     "PairSlice",
+    "PendingBatch",
     "ProcessShard",
     "RebalanceEvent",
     "RescheduleEvent",

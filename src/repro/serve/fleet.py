@@ -40,8 +40,9 @@ import atexit
 import heapq
 import multiprocessing
 import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +71,7 @@ from repro.serve.router import (
     ShardTable,
 )
 from repro.serve.shm import ModelPublication
-from repro.serve.worker import LocalShard, ProcessShard
+from repro.serve.worker import FleetWorkerError, LocalShard, ProcessShard
 
 
 def default_start_method() -> str:
@@ -110,6 +111,35 @@ class FleetSnapshot:
     per_worker: Dict[int, Dict]
     formats: Dict[int, Dict[str, str]]
     transport: Dict[int, Dict[str, int]]
+
+
+class PendingBatch:
+    """One posted ``predict`` batch whose reply may not be in yet.
+
+    The fleet collects replies in dispatch order; :attr:`done` turns
+    true once this one is in, and :meth:`result` waits for it.
+    """
+
+    __slots__ = ("fleet", "shard", "token", "done", "_reply", "_error")
+
+    def __init__(self, fleet: "ServingFleet", shard: int, token: int) -> None:
+        self.fleet = fleet
+        self.shard = shard
+        self.token = token
+        self.done = False
+        self._reply: Optional[Tuple[Any, ...]] = None
+        self._error: Optional[FleetWorkerError] = None
+
+    def result(
+        self,
+    ) -> Tuple[List[int], np.ndarray, np.ndarray, str, Optional[RescheduleEvent]]:
+        """``(ids, labels, decisions, format, reschedule event)``."""
+        while not self.done:
+            self.fleet._collect_next()
+        if self._error is not None:
+            raise self._error
+        _, _, _, ids, labels, dec, fmt, event = self._reply
+        return ids, labels, dec, fmt, event
 
 
 # Fleets registered for interpreter-exit cleanup: a forgotten close()
@@ -162,6 +192,9 @@ class ServingFleet:
             detector = HotSpotDetector(n_workers)
         self.router = Router(self.table, detector if n_workers > 1 else None)
         self.rebalances: List[RebalanceEvent] = []
+        # Posted batches awaiting replies, in dispatch order; at most
+        # one per shard (see predict_batch).
+        self._inflight: Deque[PendingBatch] = deque()
         self._closed = False
         self.publications: Dict[str, ModelPublication] = {}
         self.shards: List[Any] = []
@@ -215,6 +248,7 @@ class ServingFleet:
         """Attach one replica of ``key`` on ``shard``; returns its format."""
         if key not in self.publications:
             raise KeyError(f"unknown model {key!r}")
+        self.drain()
         reply = self.shards[shard].request(
             (
                 "attach",
@@ -237,7 +271,16 @@ class ServingFleet:
         started_at: float,
         finished_at: float,
         queued_at: List[float],
-    ) -> Tuple[List[int], np.ndarray, np.ndarray, str, Optional[RescheduleEvent]]:
+    ) -> PendingBatch:
+        """Post one batch to ``shard`` and return without its reply.
+
+        At most one batch is in flight per shard: a worker answers in
+        order, and a second batch could leave the door blocked writing
+        to a worker that is blocked writing its reply back.  So this
+        first collects replies, in dispatch order, until the shard's
+        previous batch is answered — every reply wait of the hot path
+        happens here, inside the ``fleet.request`` span.
+        """
         tracer = get_tracer()
         ctx = None
         with tracer.span("fleet.request") as sp:
@@ -246,14 +289,45 @@ class ServingFleet:
                 sp.set("shard", shard)
                 sp.set("k", len(req_ids))
                 ctx = TraceContext(new_trace_id(), sp.span_id, DOOR_LANE)
-            reply = self.shards[shard].request(
+            while any(p.shard == shard for p in self._inflight):
+                self._collect_next()
+            token = self.shards[shard].post(
                 (
                     "predict", key, list(req_ids), list(vectors),
                     started_at, finished_at, list(queued_at), ctx,
                 )
             )
-        _, _, _, ids, labels, dec, fmt, event = reply
-        return ids, labels, dec, fmt, event
+        pending = PendingBatch(self, shard, token)
+        self._inflight.append(pending)
+        return pending
+
+    def _collect_next(self) -> None:
+        """Collect the oldest in-flight batch's reply."""
+        pending = self._inflight.popleft()
+        pending.done = True
+        try:
+            pending._reply = self.shards[pending.shard].collect(
+                pending.token
+            )
+        except FleetWorkerError as exc:
+            pending._error = exc
+            raise
+
+    def drain(self) -> None:
+        """Collect every in-flight batch reply, in dispatch order.
+
+        Every control-plane call drains first, so its reply is never
+        queued behind a batch.  The queue always ends empty; the first
+        failure, if any, is raised after the rest are collected.
+        """
+        failure: Optional[FleetWorkerError] = None
+        while self._inflight:
+            try:
+                self._collect_next()
+            except FleetWorkerError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
 
     def predict_single(
         self,
@@ -264,6 +338,7 @@ class ServingFleet:
         arrived_at: float,
         finished_at: float,
     ) -> Tuple[float, np.ndarray, str]:
+        self.drain()
         tracer = get_tracer()
         ctx = None
         with tracer.span("fleet.request_one") as sp:
@@ -350,6 +425,7 @@ class ServingFleet:
         worker's OpCounter lands additively under
         ``repro_fleet.worker<i>.ops.*``.
         """
+        self.drain()
         merged = ServeMetrics()
         if door is not None:
             merged.merge(door)
@@ -398,6 +474,7 @@ class ServingFleet:
         ``repro trace``, the bench harness) own that switch.  Local
         shards share the door's tracer and treat the verb as a no-op.
         """
+        self.drain()
         for shard in self.shards:
             shard.request(("trace_on",))
 
@@ -412,8 +489,10 @@ class ServingFleet:
         monotonic clock and is zeroed, while genuinely different
         clocks (virtual time in tests) survive.
         """
-        from repro.serve.worker import FleetWorkerError
-
+        try:
+            self.drain()
+        except FleetWorkerError:
+            pass  # the dead worker's lane is simply missing
         tracer = get_tracer()
         buffers: List[WorkerTraceBuffer] = []
         for shard in self.shards:
@@ -422,7 +501,7 @@ class ServingFleet:
             t0 = tracer.now()
             try:
                 reply = shard.request(("trace_collect",))
-            except (FleetWorkerError, EOFError, OSError, BrokenPipeError):
+            except FleetWorkerError:
                 continue
             t1 = tracer.now()
             _, _, wid, pid, worker_now, span_dicts, dropped, audit = reply
@@ -472,6 +551,10 @@ class ServingFleet:
         if self._closed:
             return
         self._closed = True
+        try:
+            self.drain()
+        except FleetWorkerError:
+            pass  # a dead worker must not stop the others' shutdown
         for shard in self.shards:
             try:
                 shard.close()
@@ -540,11 +623,15 @@ def simulate_fleet(
     generalised to many shards: each ``(model, shard)`` replica has
     its own :class:`~repro.serve.batcher.MicroBatcher`, each shard a
     single virtual core (``busy_until``), and the door runs admission,
-    routing, hot-spot detection and rebalancing.  Worker predictions
-    happen at dispatch (so per-shard answer order equals virtual serve
-    order) while latency accounting uses the virtual start/finish
-    times; admission slots release at virtual completion, which is
-    what makes the overload experiment honest about in-flight bounds.
+    routing, hot-spot detection and rebalancing.  A batch is posted to
+    its worker at dispatch and its reply applied later, in dispatch
+    order, so workers compute while the door moves on; per-shard
+    answer order still equals virtual serve order.  Routing, admission
+    and the virtual clock never read a reply, so the report is the
+    same as if every answer arrived at dispatch.  Latency accounting
+    uses the virtual start/finish times; admission slots release at
+    virtual completion, which is what makes the overload experiment
+    honest about in-flight bounds.
 
     ``slo`` is an optional :class:`~repro.obs.slo.SLOMonitor` fed the
     door's four streams on the virtual clock — request latency,
@@ -563,6 +650,8 @@ def simulate_fleet(
         s: 0 for s in range(fleet.n_workers)
     }
     batchers: Dict[Tuple[str, int], MicroBatcher] = {}
+    # Posted batches not yet applied: (batch, key, shard, dispatch time).
+    pending: Deque[Tuple[PendingBatch, str, int, float]] = deque()
     last_fmt: Dict[Tuple[str, int], str] = {}
     busy_until = [0.0] * fleet.n_workers
     heap: List[Tuple[float, int, int, str, Any]] = []
@@ -579,6 +668,19 @@ def simulate_fleet(
         if last_fmt.get((key, shard)) != fmt:
             last_fmt[(key, shard)] = fmt
             format_history.append((t, key, shard, fmt))
+
+    def apply_replies() -> None:
+        """Apply every collected reply at the head, in dispatch order."""
+        while pending and pending[0][0].done:
+            batch, key, shard, at = pending.popleft()
+            ids, labels, dec, fmt, event = batch.result()
+            for j, rid in enumerate(ids):
+                responses[rid] = float(labels[j])
+                decisions[rid] = dec[j]
+            note_format(at, key, shard, fmt)
+            if event is not None:
+                events.append((key, shard, event))
+                note_format(at, key, shard, event.to_fmt)
 
     def serve_batch(
         key: str, shard: int, batch: List[Request], at: float
@@ -606,7 +708,7 @@ def simulate_fleet(
                 slo.observe_latency(fin, fin - r.arrived_at)
                 if r.deadline is not None:
                     slo.observe_deadline(fin, False)
-        ids, labels, dec, fmt, event = fleet.predict_batch(
+        posted = fleet.predict_batch(
             key,
             shard,
             [r.req_id for r in live],
@@ -615,14 +717,9 @@ def simulate_fleet(
             fin,
             [r.arrived_at for r in live],
         )
-        for j, rid in enumerate(ids):
-            responses[rid] = float(labels[j])
-            decisions[rid] = dec[j]
+        pending.append((posted, key, shard, at))
+        apply_replies()
         per_shard_served[shard] += len(live)
-        note_format(at, key, shard, fmt)
-        if event is not None:
-            events.append((key, shard, event))
-            note_format(at, key, shard, event.to_fmt)
         push(fin, _P_COMPLETE, "complete", (shard, len(live)))
 
     for req in workload.arrivals:
@@ -676,6 +773,7 @@ def simulate_fleet(
             label, dec, fmt = fleet.predict_single(
                 key, shard, r.req_id, r.vector, t, fin
             )
+            apply_replies()  # drained: batches before this answer
             if slo is not None:
                 slo.observe_latency(fin, fin - r.arrived_at)
                 if r.deadline is not None:
@@ -709,6 +807,8 @@ def simulate_fleet(
                 # batcher and does nothing.
                 push(flush_at, _P_FLUSH, "flush", (key, shard))
 
+    fleet.drain()
+    apply_replies()
     if slo is not None:
         slo.evaluate()
     snapshot = fleet.snapshot(door=door, registry=registry)

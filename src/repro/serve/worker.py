@@ -18,6 +18,12 @@ One code path serves both deployment shapes:
   through the pickle round-trip so byte accounting and message
   semantics are identical.  Used by tests and single-process runs.
 
+Both transports split a call in two: ``post(msg)`` sends and returns
+a token, ``collect(token)`` waits for that reply (a local shard
+answers at post).  Between the two the door is free to post to other
+shards, so several workers compute at once; ``request(msg)`` is
+``collect(post(msg))``.  A worker answers in post order.
+
 The wire protocol is deliberately dumb — tuples with a verb first:
 
 =================  ===================================================
@@ -49,7 +55,8 @@ from __future__ import annotations
 import os
 import pickle
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.race import make_lock, track_shared
 from repro.obs.audit import audit_log
@@ -74,7 +81,7 @@ HOT_VERBS = ("predict", "predict_one")
 
 
 class FleetWorkerError(RuntimeError):
-    """A worker-side exception, re-raised at the front door."""
+    """A worker-side exception or a dead worker, raised at the door."""
 
 
 class ShardServer:
@@ -271,6 +278,10 @@ class ShardServer:
             att.close()
 
 
+def _error_reply(exc: Exception) -> Tuple[str, str, str]:
+    return ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
+
+
 def fleet_worker_main(
     conn, worker_id: int, unregister: bool = False
 ) -> None:
@@ -303,11 +314,7 @@ def fleet_worker_main(
                         verb=str(msg[0]),
                         error=f"{type(exc).__name__}: {exc}",
                     )
-                reply = (
-                    "err",
-                    f"{type(exc).__name__}: {exc}",
-                    traceback.format_exc(),
-                )
+                reply = _error_reply(exc)
             conn.send_bytes(
                 pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
             )
@@ -353,36 +360,121 @@ class _TransportStats:
         return {f: getattr(self, f) for f in self.FIELDS}
 
 
-def _count_requests(msg: Tuple[Any, ...]) -> int:
+def _request_ids(msg: Tuple[Any, ...]) -> List[int]:
     if msg[0] == "predict":
-        return len(msg[2])
+        return list(msg[2])
     if msg[0] == "predict_one":
-        return 1
-    return 0
+        return [msg[2]]
+    return []
 
 
-class ProcessShard:
-    """Front-door handle to one worker process.
+class _Shard:
+    """The door's end of one shard: post now, collect the reply later.
 
-    The RPC is synchronous and the pipe is a shared resource, so each
-    request/reply pair (and the byte accounting) happens under one
-    lock — the lockset the ``REPRO_RACE`` sanitizer checks when
-    multiple door threads share a shard.
+    :meth:`post` sends one message and returns a token;
+    :meth:`collect` returns the reply to that token.  A shard answers
+    in post order, so collecting a later token first reads the earlier
+    replies and keeps them for their own collectors — no caller ever
+    reads another message's reply.  :meth:`request` is
+    ``collect(post(msg))``.  The pending queue and the byte accounting
+    live under one lock, the lockset the ``REPRO_RACE`` sanitizer
+    checks when several door threads share a shard.
+
+    Subclasses supply the channel: ``_send(payload)`` and ``_recv()``.
+    A channel that fails (the worker died) fails every later call with
+    the same :class:`FleetWorkerError`, naming what was in flight.
+    """
+
+    def __init__(self, worker_id: int) -> None:
+        self.worker_id = worker_id
+        self._stats = _TransportStats()
+        self._lock = make_lock(f"serve.shard{worker_id}")
+        # Posted, unanswered messages: (token, verb, request ids, bytes).
+        self._pending: Deque[Tuple[int, str, List[int], int]] = deque()
+        self._replies: Dict[int, bytes] = {}  # read ahead of collect
+        self._next_token = 0
+        self._dead: Optional[str] = None
+        track_shared(
+            self,
+            ("_stats", "_pending", "_replies", "_next_token", "_dead"),
+        )
+
+    def post(self, msg: Tuple[Any, ...]) -> int:
+        payload = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+        with self._lock:
+            if self._dead is not None:
+                raise FleetWorkerError(self._dead)
+            token = self._next_token
+            self._next_token += 1
+            self._pending.append(
+                (token, msg[0], _request_ids(msg), len(payload))
+            )
+            try:
+                self._send(payload)
+            except OSError as exc:
+                raise self._died() from exc
+        return token
+
+    def collect(self, token: int) -> Tuple[Any, ...]:
+        with self._lock:
+            while token not in self._replies:
+                if self._dead is not None:
+                    raise FleetWorkerError(self._dead)
+                head, verb, ids, sent = self._pending[0]
+                try:
+                    raw = self._recv()
+                except (EOFError, OSError) as exc:
+                    raise self._died() from exc
+                self._pending.popleft()
+                self._stats.account(verb, len(ids), sent, len(raw))
+                self._replies[head] = raw
+            raw = self._replies.pop(token)
+        reply = pickle.loads(raw)
+        if reply[0] == "err":
+            raise FleetWorkerError(
+                f"worker {self.worker_id}: {reply[1]}\n{reply[2]}"
+            )
+        return reply
+
+    def request(self, msg: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        return self.collect(self.post(msg))
+
+    def _died(self) -> FleetWorkerError:
+        """Mark the channel dead (caller holds the lock)."""
+        verbs = sorted({verb for _, verb, _, _ in self._pending})
+        lost = [rid for _, _, ids, _ in self._pending for rid in ids]
+        self._pending.clear()
+        self._dead = (
+            f"worker {self.worker_id} died with {'/'.join(verbs)} in "
+            f"flight; request ids {lost}"
+        )
+        return FleetWorkerError(self._dead)
+
+    def transport_stats(self) -> Dict[str, int]:
+        with self._lock:
+            return self._stats.as_dict()
+
+
+class ProcessShard(_Shard):
+    """Front-door handle to one worker process over a duplex pipe.
+
+    :meth:`post` returns once the message is written, so the door can
+    post to another shard while this worker computes.  The fleet keeps
+    at most one batch in flight per shard: a worker blocked writing a
+    reply larger than the pipe buffer is then never waiting on a door
+    that is blocked writing to it.
     """
 
     kind = "process"
 
     def __init__(self, worker_id: int, ctx) -> None:
-        self.worker_id = worker_id
+        super().__init__(worker_id)
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         # A spawned worker owns a private resource tracker that must
         # forget attached segments (see repro.serve.shm); a forked one
         # shares ours and must not touch its bookkeeping.
         unregister = ctx.get_start_method() == "spawn"
         self._conn = parent_conn
-        self._stats = _TransportStats()
-        self._lock = make_lock(f"serve.shard{worker_id}")
-        track_shared(self, ("_stats",))
         self.process = ctx.Process(
             target=fleet_worker_main,
             args=(child_conn, worker_id, unregister),
@@ -392,23 +484,11 @@ class ProcessShard:
         self.process.start()
         child_conn.close()
 
-    def request(self, msg: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        payload = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-        n_requests = _count_requests(msg)
-        with self._lock:
-            self._conn.send_bytes(payload)
-            raw = self._conn.recv_bytes()
-            self._stats.account(msg[0], n_requests, len(payload), len(raw))
-        reply = pickle.loads(raw)
-        if reply[0] == "err":
-            raise FleetWorkerError(
-                f"worker {self.worker_id}: {reply[1]}\n{reply[2]}"
-            )
-        return reply
+    def _send(self, payload: bytes) -> None:
+        self._conn.send_bytes(payload)
 
-    def transport_stats(self) -> Dict[str, int]:
-        with self._lock:
-            return self._stats.as_dict()
+    def _recv(self) -> bytes:
+        return self._conn.recv_bytes()
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -421,8 +501,10 @@ class ProcessShard:
     def close(self) -> None:
         if self.process.is_alive():
             try:
+                # Replies still in flight are read and set aside; the
+                # shutdown reply is the one for this token.
                 self.request(("shutdown",))
-            except (FleetWorkerError, EOFError, OSError, BrokenPipeError):
+            except FleetWorkerError:
                 pass
         self._conn.close()
         self.process.join(timeout=10.0)
@@ -431,41 +513,33 @@ class ProcessShard:
             self.process.join(timeout=10.0)
 
 
-class LocalShard:
+class LocalShard(_Shard):
     """The same server, same wire format, no process.
 
     Messages still round-trip through pickle so the byte accounting
     (and anything unpicklable sneaking onto the hot path) behaves
-    exactly as it would across a real process boundary.
+    exactly as it would across a real process boundary.  :meth:`post`
+    answers eagerly; the pickled reply waits for :meth:`collect`.
     """
 
     kind = "local"
 
     def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
+        super().__init__(worker_id)
         self.server = ShardServer(worker_id)
-        self._stats = _TransportStats()
-        self._lock = make_lock(f"serve.shard{worker_id}")
-        track_shared(self, ("_stats",))
+        self._outbox: Deque[bytes] = deque()
 
-    def request(self, msg: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        payload = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-        n_requests = _count_requests(msg)
-        with self._lock:
-            try:
-                reply = self.server.handle(pickle.loads(payload))
-            except Exception as exc:
-                raise FleetWorkerError(
-                    f"worker {self.worker_id}: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            raw = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
-            self._stats.account(msg[0], n_requests, len(payload), len(raw))
-        return pickle.loads(raw)
+    def _send(self, payload: bytes) -> None:
+        try:
+            reply = self.server.handle(pickle.loads(payload))
+        except Exception as exc:
+            reply = _error_reply(exc)
+        self._outbox.append(
+            pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
-    def transport_stats(self) -> Dict[str, int]:
-        with self._lock:
-            return self._stats.as_dict()
+    def _recv(self) -> bytes:
+        return self._outbox.popleft()
 
     def alive(self) -> bool:
         return True

@@ -6,9 +6,15 @@ without process startup cost; a small set exercises real worker
 processes end to end.
 """
 
+import dataclasses
+import os
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.obs.trace import get_tracer
 from repro.serve.admission import AdmissionController
 from repro.serve.bench import synthetic_model
 from repro.serve.bench_fleet import (
@@ -25,7 +31,9 @@ from repro.serve.loadgen import (
     query_sampler,
     replay_unbatched,
 )
+from repro.serve.metrics import ServeMetrics
 from repro.serve.shm import leaked_segments
+from repro.serve.worker import FleetWorkerError
 
 N_FEATURES = 64
 
@@ -343,3 +351,191 @@ class TestLifecycle:
             ServingFleet(two_models(), 0)
         with pytest.raises(ValueError):
             ServingFleet(two_models(), 2, backend="threads")
+
+
+def assert_identical(a, b, path="report"):
+    """Field-by-field, bitwise, order-sensitive equality of reports."""
+    assert type(a) is type(b), path
+    if isinstance(a, ServeMetrics):
+        assert_identical(a.state(), b.state(), path)
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_identical(
+                getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}"
+            )
+    elif isinstance(a, dict):
+        assert list(a) == list(b), f"{path}: keys or their order differ"
+        for k in a:
+            assert_identical(a[k], b[k], f"{path}[{k!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_identical(x, y, f"{path}[{i}]")
+    elif isinstance(a, (np.ndarray, np.generic, float)):
+        x, y = np.asarray(a), np.asarray(b)
+        assert x.dtype == y.dtype and x.shape == y.shape, path
+        assert x.tobytes() == y.tobytes(), path
+    else:
+        assert a == b, path
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the main thread if the body overruns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestPipelinedProcessFleet:
+    """Batches are posted at dispatch and their replies applied later;
+    the process fleet must still produce exactly the local report."""
+
+    def test_report_identical_to_local_backend(self):
+        models = flip_fleet_models(smoke=True)
+        n_features = models["alpha"].n_features
+        sampler = query_sampler(n_features, 5)
+        # Skewed traffic (a hot spot, so a replica is added mid-stream)
+        # at a rate that pushes admission into its degraded path.
+        workload = multi_tenant(
+            [
+                TenantSpec(
+                    "t-a", "alpha", n=300, rate_rps=30_000.0,
+                    pattern="bursty", period_s=0.01,
+                ),
+                TenantSpec("t-b", "beta", n=40, rate_rps=2_000.0),
+            ],
+            sampler,
+            seed=23,
+        )
+        reports = {}
+        # With the door tracer on, every predict message carries fresh
+        # trace ids, so byte counts would differ between the two runs.
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enabled = False
+        try:
+            for backend in ("local", "process"):
+                with ServingFleet(
+                    models,
+                    2,
+                    backend=backend,
+                    weights={"alpha": 1.0, "beta": 1.0},
+                    initial_formats={k: "CSR" for k in models},
+                    rescheduler={
+                        "window": 16,
+                        "check_every": 4,
+                        "min_gain": 0.0,
+                        "candidates": STRONG_BITWISE_FORMATS,
+                    },
+                ) as fleet:
+                    reports[backend] = simulate_fleet(
+                        fleet,
+                        workload,
+                        admission=AdmissionController(
+                            capacity=48, shed_at=0.25
+                        ),
+                    )
+        finally:
+            tracer.enabled = was_enabled
+        local = reports["local"]
+        assert local.rebalances, "the hot spot must add a replica"
+        assert local.metrics.degraded > 0, "admission must shed"
+        assert local.events, "replicas must re-schedule"
+        assert_identical(local, reports["process"])
+        # Replies are applied in dispatch order: format changes appear
+        # in virtual-time order, each replica's events in batch order.
+        times = [t for t, _key, _shard, _fmt in local.format_history]
+        assert times == sorted(times)
+        seqs = {}
+        for key, shard, event in local.events:
+            seqs.setdefault((key, shard), []).append(event.batch_seq)
+        assert all(s == sorted(set(s)) for s in seqs.values())
+        assert_bitwise_vs_replay(models, workload, local)
+
+    def test_batches_larger_than_the_pipe_buffer(self):
+        """Dense query batches bigger than a pipe buffer never deadlock
+        the door against a worker writing its reply."""
+        n_features = 2048
+        model = synthetic_model(
+            n_sv=60, n_features=n_features, row_nnz=40, seed=9
+        )
+        sampler = query_sampler(n_features, n_features)
+        workload = open_loop(96, 20_000.0, sampler, seed=4)
+        with deadline(60.0):
+            with ServingFleet({"m": model}, 2, backend="process") as fleet:
+                report = simulate_fleet(fleet, workload)
+        assert max(
+            s["hot_bytes_sent"] / s["hot_messages"]
+            for s in report.snapshot.transport.values()
+        ) > 64 * 1024
+        assert report.metrics.served == len(workload)
+        assert_bitwise_vs_replay({"m": model}, workload, report)
+
+    def test_worker_killed_mid_batch(self):
+        """A worker dying with a batch in flight fails loudly, names
+        the lost requests, and close() still returns."""
+        model = synthetic_model(
+            n_sv=80, n_features=N_FEATURES, row_nnz=6, seed=2
+        )
+        sampler = query_sampler(N_FEATURES, 5)
+        vectors = [sampler(np.random.default_rng(i)) for i in range(3)]
+        fleet = ServingFleet({"m": model}, 2, backend="process")
+        try:
+            victim = fleet.shards[0]
+            # Stopped, the worker cannot answer before it is killed.
+            os.kill(victim.process.pid, signal.SIGSTOP)
+            fleet.predict_batch(
+                "m", 0, [11, 12], vectors[:2], 0.0, 1e-3, [0.0, 0.0]
+            )
+            survivor = fleet.predict_batch(
+                "m", 1, [13], vectors[2:], 0.0, 1e-3, [0.0]
+            )
+            victim.kill()
+            with deadline(30.0):
+                with pytest.raises(
+                    FleetWorkerError, match=r"worker 0 .*\[11, 12\]"
+                ):
+                    fleet.drain()
+            # The other worker's reply is still collected and correct.
+            ids, labels, dec, _fmt, _event = survivor.result()
+            assert ids == [13]
+            assert labels[0] == InferenceEngine(model).predict_one(
+                vectors[2]
+            )
+            with pytest.raises(FleetWorkerError, match="worker 0"):
+                fleet.predict_batch(
+                    "m", 0, [14], vectors[:1], 0.0, 1e-3, [0.0]
+                )
+        finally:
+            with deadline(30.0):
+                fleet.close()
+        assert leaked_segments() == []
+
+    def test_stale_reply_is_never_read_as_another(self):
+        """A control reply is matched to its own message even with a
+        batch reply still unread ahead of it on the pipe."""
+        model = synthetic_model(
+            n_sv=80, n_features=N_FEATURES, row_nnz=6, seed=2
+        )
+        vector = query_sampler(N_FEATURES, 5)(np.random.default_rng(0))
+        with ServingFleet({"m": model}, 1, backend="process") as fleet:
+            shard = fleet.shards[0]
+            token = shard.post(
+                ("predict", "m", [7], [vector], 0.0, 1e-3, [0.0])
+            )
+            assert shard.request(("snapshot",))[1] == "snapshot"
+            assert shard.collect(token)[3] == [7]
+            # Posted and never collected: shutdown must skip past it.
+            shard.post(("predict", "m", [8], [vector], 0.0, 1e-3, [0.0]))
+            with deadline(30.0):
+                shard.close()
+            assert not shard.alive()
